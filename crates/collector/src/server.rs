@@ -267,6 +267,23 @@ impl CollectorConfig {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test hook: a one-shot closure [`after_refresh_unlock`] runs.
+    static AFTER_REFRESH_UNLOCK: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// Where a snapshot refresh has read the assembler and released its
+/// lock but not yet published. Tests land concurrent session updates
+/// here deterministically; otherwise a no-op.
+fn after_refresh_unlock() {
+    #[cfg(test)]
+    if let Some(hook) = AFTER_REFRESH_UNLOCK.with(std::cell::Cell::take) {
+        hook();
+    }
+}
+
 /// One session's state, shared between its reader thread, the analysis
 /// loop and the status endpoint. A session outlives its connections: a
 /// resumable producer may attach, disconnect and re-attach many times.
@@ -364,8 +381,15 @@ impl SessionState {
     /// record count while the previous process's published snapshot may
     /// have counted the same frames, so a frames-only comparison can
     /// conflate replayed frames with new ones and serve a stale report.
+    ///
+    /// `dirty` is cleared as soon as the assembler lock is held, before
+    /// any state the snapshot summarizes is read. A frame batch or a
+    /// detach that lands after that point raises it again and is picked
+    /// up by the next refresh; clearing it any later could overwrite such
+    /// a change and leave the session on a stale snapshot for good.
     fn refresh_snapshot(&self) -> SessionSnapshot {
         let mut asm = self.asm.lock().unwrap_or_else(|e| e.into_inner());
+        self.dirty.store(false, Ordering::Release);
         let mut slot = self.snapshot.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(prev) = slot.as_ref() {
             if prev.frames == asm.frames() && prev.events == asm.events() {
@@ -376,8 +400,8 @@ impl SessionState {
                 snap.dropped_frames = self.queue.dropped();
                 snap.report.degraded |= asm.degraded() || self.over_quota.load(Ordering::Acquire);
                 drop(asm);
+                after_refresh_unlock();
                 self.mark_journal_degraded(&mut snap);
-                self.dirty.store(false, Ordering::Release);
                 *slot = Some(snap.clone());
                 return snap;
             }
@@ -401,8 +425,8 @@ impl SessionState {
         self.metrics.snapshot_refresh_ns.observe(started.elapsed().as_nanos() as u64);
         snap.report.degraded |= asm.degraded() || self.over_quota.load(Ordering::Acquire);
         drop(asm);
+        after_refresh_unlock();
         self.mark_journal_degraded(&mut snap);
-        self.dirty.store(false, Ordering::Release);
         *self.snapshot.lock().unwrap_or_else(|e| e.into_inner()) = Some(snap.clone());
         snap
     }
@@ -1980,6 +2004,83 @@ fn receive_rollup(reader: &mut impl Read, len: &str) -> Result<Rollup, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use critlock_trace::stream::{trace_frames, RawFrame};
+    use critlock_trace::TraceBuilder;
+
+    fn bare_session() -> Arc<SessionState> {
+        let metrics = CollectorMetrics::new();
+        Arc::new(SessionState {
+            id: 1,
+            rollup_id: 1,
+            peer: "test".into(),
+            token: Vec::new(),
+            stem: journal_stem(&[], 1),
+            queue: FrameQueue::new(1024, Backpressure::Block),
+            asm: Mutex::new(SessionAssembler::new()),
+            dirty: AtomicBool::new(true),
+            snapshot: Mutex::new(None),
+            received_seq: AtomicU64::new(0),
+            attached: AtomicBool::new(true),
+            journal: Mutex::new(None),
+            journal_degraded: AtomicBool::new(false),
+            checkpointed_frames: AtomicU64::new(0),
+            conn: Mutex::new(None),
+            bytes_ingested: AtomicU64::new(0),
+            over_quota: AtomicBool::new(false),
+            quota_counted: AtomicBool::new(false),
+            poisoned: AtomicBool::new(false),
+            panic_app: None,
+            shard_metrics: metrics.shard(0),
+            metrics,
+        })
+    }
+
+    /// Regression: frames applied while a refresh is between releasing
+    /// the assembler lock and publishing its snapshot must stay visible.
+    /// Clearing `dirty` at that point would overwrite the flag the
+    /// concurrent `apply_pending` raised, and a session whose final
+    /// frames land there would keep a stale, never-ended snapshot. Both
+    /// the recompute and the unchanged-skip branch are covered.
+    #[test]
+    fn frames_applied_during_a_refresh_are_not_lost() {
+        let mut b = TraceBuilder::new("refresh-race");
+        let l = b.lock("L");
+        let t0 = b.thread("main", 0);
+        let t1 = b.thread("w", 0);
+        b.on(t0).cs(l, 3).work(2).exit();
+        b.on(t1).work(1).cs_blocked(l, 3, 2).exit();
+        let trace = b.build().unwrap();
+        let frames: Vec<RawFrame> =
+            trace_frames(&trace).iter().map(|f| RawFrame::encode(f).unwrap()).collect();
+        let (head, tail) = frames.split_at(frames.len() - 1);
+
+        for skip_branch in [false, true] {
+            let session = bare_session();
+            for frame in head {
+                assert!(session.queue.push(frame.clone()));
+            }
+            session.apply_pending();
+            if skip_branch {
+                assert!(!session.refresh_snapshot().ended);
+            }
+            let late = Arc::clone(&session);
+            let tail = tail.to_vec();
+            AFTER_REFRESH_UNLOCK.with(|hook| {
+                hook.set(Some(Box::new(move || {
+                    for frame in tail {
+                        assert!(late.queue.push(frame));
+                    }
+                    assert!(late.apply_pending(), "final frames must apply");
+                })))
+            });
+            let during = session.refresh_snapshot();
+            assert!(!during.ended, "the refresh read the state before the final frames");
+            assert!(session.dirty.load(Ordering::Acquire), "the late apply must stay visible");
+            let after = session.current_snapshot();
+            assert!(after.ended, "skip branch {skip_branch}: stale snapshot kept");
+            assert_eq!(after.events, trace.num_events() as u64);
+        }
+    }
 
     #[test]
     fn forward_pause_is_interval_then_capped_exponential() {

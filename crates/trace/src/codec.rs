@@ -915,13 +915,13 @@ impl<'a> RawTraceView<'a> {
                 section
             } else {
                 // v1: no framing — walk the records to find the boundary.
-                let start = rem;
-                let mut prev = 0u64;
-                for _ in 0..declared_events {
-                    let (ts, _) = raw_event(&mut rem, prev)?;
-                    prev = ts;
+                let mut iter = RawEventIter::new(rem, declared_events);
+                for ev in &mut iter {
+                    ev?;
                 }
-                &start[..start.len() - rem.len()]
+                let (section, rest) = rem.split_at(rem.len() - iter.remaining_bytes().len());
+                rem = rest;
+                section
             };
             threads.push(RawThread { tid, name, declared_events, section });
         }
@@ -993,18 +993,61 @@ impl<'a> RawTraceView<'a> {
     }
 }
 
-/// Decode up to `take` events from a section, returning whatever prefix
-/// decodes cleanly, the count of unconsumed section bytes, and the error
-/// message that stopped the scan, if any.
-fn decode_events_prefix(section: &[u8], take: u64) -> (Vec<Event>, usize, Option<String>) {
-    let mut events = Vec::with_capacity((take.min(1 << 20)) as usize);
-    let mut iter = RawEventIter::new(section, take);
-    loop {
+/// Decode up to `take` events off `iter` into `events`, returning the
+/// prefix that decodes cleanly and the error that stopped the scan, if
+/// any.
+fn decode_prefix(
+    iter: &mut RawEventIter<'_>,
+    take: u64,
+    mut events: Vec<Event>,
+) -> (Vec<Event>, Option<String>) {
+    while (events.len() as u64) < take {
         match iter.next() {
             Some(Ok(ev)) => events.push(ev.event()),
-            Some(Err(e)) => return (events, iter.remaining_bytes().len(), Some(e.to_string())),
-            None => return (events, iter.remaining_bytes().len(), None),
+            Some(Err(e)) => return (events, Some(e.to_string())),
+            None => break,
         }
+    }
+    (events, None)
+}
+
+/// One thread section located by the salvage reader's first pass.
+#[derive(Debug)]
+struct Section<'a> {
+    tid: ThreadId,
+    name: Option<String>,
+    declared: u64,
+    /// The section's event records, as far as they are present.
+    bytes: &'a [u8],
+    /// Why the section's framing is broken, if it is; its decode then
+    /// reports this instead of its own outcome.
+    broken: Option<String>,
+    /// The section's end could not be found, so every later section is
+    /// lost with it.
+    poisoned: bool,
+}
+
+impl Section<'_> {
+    /// A buffer for up to `take` of the section's events. A record is at
+    /// least 2 bytes, which bounds it by the bytes actually present
+    /// whatever the header claims, and [`Self::decode`] never grows it.
+    fn buffer(&self, take: u64) -> Vec<Event> {
+        Vec::with_capacity(take.min(self.bytes.len() as u64 / 2) as usize)
+    }
+
+    /// Decode up to `take` events into `events` (from [`Self::buffer`]):
+    /// the decodable prefix plus what made the section corrupt, if
+    /// anything did.
+    fn decode(&self, take: u64, events: Vec<Event>) -> (Vec<Event>, Option<String>) {
+        let mut iter = RawEventIter::new(self.bytes, take);
+        let (events, err) = decode_prefix(&mut iter, take, events);
+        if self.broken.is_some() {
+            return (events, self.broken.clone());
+        }
+        // Trailing section bytes after a full decode mean the section
+        // itself is inconsistent; keep the events.
+        let trailing = take == self.declared && !iter.remaining_bytes().is_empty();
+        (events, err.or_else(|| trailing.then(|| "trailing bytes in thread section".into())))
     }
 }
 
@@ -1019,8 +1062,18 @@ fn decode_events_prefix(section: &[u8], take: u64) -> (Vec<Event>, usize, Option
 /// decoded. The [`Budget`] is enforced here too, so sections past the
 /// event/thread allowance are never decoded (or even allocated).
 ///
+/// Decoding takes two passes. The first, serial and cheap, walks the
+/// section headers and finds each section's bytes: from its length
+/// prefix (v2+), or by stepping over its records (v1, which has no
+/// framing). The second materializes the sections: in parallel across
+/// the active rayon pool when the event allowance cannot bind, since
+/// each section then takes its declared count whatever the others
+/// decode, and serially in thread order when it can. The output is the
+/// same for every pool size. The deadline drops the first section found
+/// past it and every later one.
+///
 /// The returned trace makes no protocol guarantees; run it through
-/// [`crate::salvage::salvage_trace`] before analysis.
+/// [`crate::salvage::salvage`] before analysis.
 pub fn read_trace_bytes_salvage(buf: &[u8], budget: &Budget) -> Result<(Trace, Vec<Anomaly>)> {
     let mut rem = buf;
     let (mut trace, nthreads, version) = read_preamble(&mut rem)?;
@@ -1053,69 +1106,102 @@ pub fn read_trace_bytes_salvage(buf: &[u8], budget: &Budget) -> Result<(Trace, V
     let event_cap = budget.max_events;
     let byte_cap = budget.max_bytes.map(|b| b / per_event.max(1));
     let mut allowance = event_cap.unwrap_or(u64::MAX).min(byte_cap.unwrap_or(u64::MAX));
-    let mut declared_total = 0u64;
 
+    // Pass 1: headers and section bytes, up to the first header that is
+    // unreadable or reached past the deadline.
+    let mut sections = Vec::new();
+    let mut stopped_at = None;
     for i in 0..kept_threads {
-        if budget.deadline_expired() {
-            anomalies.push(Anomaly::DeadlineExceeded { stage: "decode".into() });
-            break;
-        }
-        let tid = ThreadId(i as u32);
-        let Ok((read_tid, name, nev)) = read_thread_header(&mut rem) else {
-            anomalies.push(Anomaly::TruncatedFile { missing_threads: (nthreads - i) as u64 });
+        let header = (!budget.deadline_expired()).then(|| read_thread_header(&mut rem).ok());
+        let Some((tid, name, declared)) = header.flatten() else {
+            stopped_at = Some(i);
             break;
         };
-        declared_total = declared_total.saturating_add(nev as u64);
-        let take = (nev as u64).min(allowance);
-
-        let (events, decode_err, poisoned) = if version >= 2 {
+        let declared = declared as u64;
+        let (bytes, broken, poisoned) = if version >= 2 {
             match read_varint(&mut rem) {
-                Ok(len) if (len as usize) <= rem.len() => {
-                    let (section, rest) = rem.split_at(len as usize);
+                Ok(len) if len <= rem.len() as u64 => {
+                    let (bytes, rest) = rem.split_at(len as usize);
                     rem = rest;
-                    let (events, unconsumed, err) = decode_events_prefix(section, take);
-                    // Trailing section bytes after a full decode mean the
-                    // section itself is inconsistent; keep the events.
-                    let err = err.or_else(|| {
-                        (take == nev as u64 && unconsumed > 0)
-                            .then(|| "trailing bytes in thread section".to_string())
-                    });
-                    (events, err, false)
+                    (bytes, None, false)
                 }
-                Ok(len) => {
-                    // Length points past the end of the file: decode what
-                    // is physically there, then the buffer is exhausted.
-                    let section = rem;
-                    rem = &[];
-                    let (events, _, _) = decode_events_prefix(section, take);
-                    (events, Some(format!("section length {len} exceeds file")), false)
-                }
-                Err(e) => (Vec::new(), Some(e.to_string()), true),
+                // The length points past the end of the file: decode what
+                // is physically there, then the buffer is exhausted.
+                Ok(len) => (
+                    std::mem::take(&mut rem),
+                    Some(format!("section length {len} exceeds file")),
+                    false,
+                ),
+                Err(e) => (&[][..], Some(e.to_string()), true),
             }
         } else {
-            // v1: sections are not framed, so a decode error loses sync
-            // with every section after this one.
-            let (events, err) = decode_events_prefix_stream(&mut rem, take);
+            // v1: step over the records to find the section's end; one
+            // that does not decode loses sync with every later section.
+            let mut iter = RawEventIter::new(rem, declared);
+            let err = iter.by_ref().find_map(Result::err).map(|e| e.to_string());
+            let (bytes, rest) = rem.split_at(rem.len() - iter.remaining_bytes().len());
+            rem = rest;
             let poisoned = err.is_some();
-            (events, err, poisoned)
+            (bytes, err, poisoned)
         };
-
-        if let Some(detail) = decode_err {
-            anomalies.push(Anomaly::CorruptSection { tid, recovered: events.len() as u64, detail });
-        }
-        allowance -= events.len() as u64;
-        let mut stream = ThreadStream::new(read_tid);
-        stream.name = name;
-        stream.events = events;
-        trace.threads.push(stream);
-
+        sections.push(Section { tid, name, declared, bytes, broken, poisoned });
         if poisoned {
-            let missing = (nthreads - i - 1) as u64;
-            if missing > 0 {
-                anomalies.push(Anomaly::TruncatedFile { missing_threads: missing });
-            }
             break;
         }
+    }
+
+    // Pass 2. With every declared event inside the allowance no take
+    // depends on another section's decode, so the sections decode
+    // concurrently; `None` marks a section reached past the deadline.
+    // Buffers are allocated on this thread, so the decoded trace lives
+    // in its allocator arena rather than in the workers'.
+    let declared: u64 = sections.iter().map(|s| s.declared).fold(0, u64::saturating_add);
+    let independent = declared <= allowance;
+    let mut decoded = if independent {
+        let jobs: Vec<_> = sections.iter().map(|s| (s, s.buffer(s.declared))).collect();
+        jobs.into_par_iter()
+            .map(|(s, events)| (!budget.deadline_expired()).then(|| s.decode(s.declared, events)))
+            .collect()
+    } else {
+        Vec::new()
+    }
+    .into_iter();
+
+    let mut declared_total = 0u64;
+    for (i, s) in sections.into_iter().enumerate() {
+        let result = if independent {
+            decoded.next().flatten()
+        } else {
+            let take = s.declared.min(allowance);
+            (!budget.deadline_expired()).then(|| s.decode(take, s.buffer(take)))
+        };
+        let Some((events, err)) = result else {
+            stopped_at = Some(i);
+            break;
+        };
+        declared_total = declared_total.saturating_add(s.declared);
+        allowance -= events.len() as u64;
+        if let Some(detail) = err {
+            let recovered = events.len() as u64;
+            anomalies.push(Anomaly::CorruptSection { tid: ThreadId(i as u32), recovered, detail });
+        }
+        let mut stream = ThreadStream::new(s.tid);
+        stream.name = s.name;
+        stream.events = events;
+        trace.threads.push(stream);
+        let missing = (nthreads - i - 1) as u64;
+        if s.poisoned && missing > 0 {
+            anomalies.push(Anomaly::TruncatedFile { missing_threads: missing });
+        }
+    }
+    if let Some(i) = stopped_at {
+        // A deadline never un-expires, so this tells a section reached
+        // past it from an unreadable header.
+        anomalies.push(if budget.deadline_expired() {
+            Anomaly::DeadlineExceeded { stage: "decode".into() }
+        } else {
+            Anomaly::TruncatedFile { missing_threads: (nthreads - i) as u64 }
+        });
     }
 
     if let Some(cap) = event_cap {
@@ -1133,23 +1219,6 @@ pub fn read_trace_bytes_salvage(buf: &[u8], budget: &Budget) -> Result<(Trace, V
         }
     }
     Ok((trace, anomalies))
-}
-
-/// Like [`decode_events_prefix`] but consumes from a shared stream (v1
-/// layout, no section framing).
-fn decode_events_prefix_stream(rem: &mut &[u8], take: u64) -> (Vec<Event>, Option<String>) {
-    let mut events = Vec::with_capacity((take.min(1 << 20)) as usize);
-    let mut prev = 0u64;
-    for _ in 0..take {
-        match raw_event(rem, prev) {
-            Ok((ts, kind)) => {
-                prev = ts;
-                events.push(Event::new(ts, kind));
-            }
-            Err(e) => return (events, Some(e.to_string())),
-        }
-    }
-    (events, None)
 }
 
 /// Save a trace to a file in the binary format.

@@ -52,6 +52,7 @@ pub mod event;
 pub mod faults;
 pub mod ids;
 pub mod jsonl;
+mod protocol;
 pub mod retry;
 pub mod rollup;
 pub mod salvage;

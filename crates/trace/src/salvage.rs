@@ -31,11 +31,12 @@
 use crate::anomaly::Anomaly;
 use crate::budget::Budget;
 use crate::error::Result;
-use crate::event::{Event, EventKind, SEQ_UNKNOWN};
-use crate::ids::{ObjId, ObjInfo, ObjKind, ThreadId};
+use crate::event::{Event, EventKind};
+use crate::ids::ThreadId;
+use crate::protocol::{dangling_object, Protocol};
 use crate::trace::{ThreadStream, Trace};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Per-thread salvage accounting. Only threads that needed repairs
@@ -152,12 +153,24 @@ pub struct Salvaged {
     pub report: SalvageReport,
 }
 
-/// Salvage a trace under a budget. See the module docs for the repair
-/// rules. On a valid trace within budget this is the identity.
+/// Salvage a borrowed trace under a budget: [`salvage`] of a clone.
 pub fn salvage_trace(trace: &Trace, budget: &Budget) -> Salvaged {
+    salvage(trace.clone(), budget)
+}
+
+/// Salvage a trace under a budget. See the module docs for the repair
+/// rules. On a valid trace within budget this is the identity, and it
+/// moves the trace through untouched: every stream keeps its event
+/// buffer.
+///
+/// Streams are repaired in place and in parallel across the active
+/// rayon pool. The event budget is consumed in `(thread, index)` order
+/// from the stream lengths before any stream is repaired, so the output
+/// does not depend on the pool size. The deadline is checked for each
+/// stream in that same pass: the first stream found past it and every
+/// later one are dropped whole.
+pub fn salvage(mut trace: Trace, budget: &Budget) -> Salvaged {
     let mut report = SalvageReport::default();
-    let mut out = Trace::new(trace.meta.clone());
-    out.objects = trace.objects.clone();
 
     // Thread budget: drop trailing streams whole.
     let total_threads = trace.threads.len();
@@ -170,13 +183,13 @@ pub fn salvage_trace(trace: &Trace, budget: &Budget) -> Salvaged {
         for stream in &trace.threads[kept_threads..] {
             report.events_dropped += stream.events.len() as u64;
         }
+        trace.threads.truncate(kept_threads);
     }
 
     // Event budget: a single allowance consumed in (thread, index)
     // order, combining the explicit event cap with the one implied by
     // the resident-byte cap.
-    let total_events: u64 =
-        trace.threads[..kept_threads].iter().map(|s| s.events.len() as u64).sum();
+    let total_events: u64 = trace.threads.iter().map(|s| s.events.len() as u64).sum();
     let mut allowance = u64::MAX;
     if let Some(cap) = budget.event_allowance(total_events) {
         allowance = cap;
@@ -197,15 +210,46 @@ pub fn salvage_trace(trace: &Trace, budget: &Budget) -> Salvaged {
     }
 
     let mut remaining = allowance;
-    let mut deadline_hit = false;
-    for (pos, stream) in trace.threads.iter().take(kept_threads).enumerate() {
-        if !deadline_hit && budget.deadline_expired() {
-            deadline_hit = true;
+    let mut deadline_at = None;
+    let mut jobs = Vec::with_capacity(kept_threads);
+    for (pos, stream) in trace.threads.drain(..).enumerate() {
+        if deadline_at.is_none() && budget.deadline_expired() {
+            deadline_at = Some(pos);
+        }
+        let take =
+            if deadline_at.is_some() { 0 } else { stream.events.len().min(remaining as usize) };
+        remaining -= take as u64;
+        jobs.push((pos, stream, take));
+    }
+
+    // One protocol machine per worker, reused across its streams.
+    let objects = &trace.objects;
+    let workers = rayon::current_num_threads().clamp(1, jobs.len().max(1));
+    let per_worker = jobs.len().div_ceil(workers).max(1);
+    let mut chunks: Vec<Vec<_>> = Vec::with_capacity(workers);
+    let mut jobs = jobs.into_iter().peekable();
+    while jobs.peek().is_some() {
+        chunks.push(jobs.by_ref().take(per_worker).collect());
+    }
+    let repaired: Vec<Vec<(ThreadStream, ThreadSalvage, Vec<Anomaly>)>> = chunks
+        .into_par_iter()
+        .map(|chunk| {
+            let mut machine = Protocol::new(objects);
+            chunk
+                .into_iter()
+                .map(|(pos, mut stream, take)| {
+                    let (stats, anomalies) =
+                        salvage_stream(&mut machine, kept_threads, pos, &mut stream, take);
+                    (stream, stats, anomalies)
+                })
+                .collect()
+        })
+        .collect();
+
+    for (pos, (stream, stats, anomalies)) in repaired.into_iter().flatten().enumerate() {
+        if deadline_at == Some(pos) {
             report.anomalies.push(Anomaly::DeadlineExceeded { stage: "salvage".into() });
         }
-        let take = if deadline_hit { 0 } else { stream.events.len().min(remaining as usize) };
-        remaining -= take as u64;
-        let (salvaged, stats) = salvage_stream(&out.objects, kept_threads, pos, stream, take);
         report.events_kept += stats.kept;
         report.events_dropped += stats.dropped;
         report.events_synthesized += stats.synthesized;
@@ -214,15 +258,15 @@ pub fn salvage_trace(trace: &Trace, budget: &Budget) -> Salvaged {
             report.threads_quarantined += 1;
         }
         if stats.dropped > 0 || stats.clamped > 0 || stats.synthesized > 0 || stats.quarantined {
-            report.threads.push(stats.accounting);
+            report.threads.push(stats);
         }
-        report.anomalies.extend(stats.anomalies);
-        out.threads.push(salvaged);
+        report.anomalies.extend(anomalies);
+        trace.threads.push(stream);
     }
 
     report.finalize();
-    debug_assert!(out.validate().is_ok(), "salvaged trace must validate");
-    Salvaged { trace: out, report }
+    debug_assert!(trace.validate().is_ok(), "salvaged trace must validate");
+    Salvaged { trace, report }
 }
 
 /// Load a trace file (binary CLTR or JSONL, sniffed by magic) in salvage
@@ -245,64 +289,33 @@ pub fn load_timed(
 ) -> Result<Salvaged> {
     let decode_started = std::time::Instant::now();
     let buf = std::fs::read(&path)?;
-    if buf.len() >= 4 && &buf[..4] == b"CLTR" {
-        let (trace, decode_anomalies) = crate::codec::read_trace_bytes_salvage(&buf, budget)?;
-        observe("decode", decode_started.elapsed());
-        let salvage_started = std::time::Instant::now();
-        let mut s = salvage_trace(&trace, budget);
-        s.report.absorb_decode_anomalies(decode_anomalies);
-        s.report.finalize();
-        observe("salvage", salvage_started.elapsed());
-        Ok(s)
+    let (trace, decode_anomalies) = if buf.len() >= 4 && &buf[..4] == b"CLTR" {
+        crate::codec::read_trace_bytes_salvage(&buf, budget)?
     } else {
-        let trace = crate::jsonl::read_trace(&mut &buf[..])?;
-        observe("decode", decode_started.elapsed());
-        let salvage_started = std::time::Instant::now();
-        let s = salvage_trace(&trace, budget);
-        observe("salvage", salvage_started.elapsed());
-        Ok(s)
-    }
+        (crate::jsonl::read_trace(&mut &buf[..])?, Vec::new())
+    };
+    drop(buf);
+    observe("decode", decode_started.elapsed());
+    let salvage_started = std::time::Instant::now();
+    let mut s = salvage(trace, budget);
+    s.report.absorb_decode_anomalies(decode_anomalies);
+    s.report.finalize();
+    observe("salvage", salvage_started.elapsed());
+    Ok(s)
 }
 
-struct StreamStats {
-    kept: u64,
-    dropped: u64,
-    clamped: u64,
-    synthesized: u64,
-    quarantined: bool,
-    accounting: ThreadSalvage,
-    anomalies: Vec<Anomaly>,
-}
-
-fn expected_kind(kind: &EventKind) -> Option<ObjKind> {
-    match kind {
-        EventKind::LockAcquire { .. }
-        | EventKind::LockContended { .. }
-        | EventKind::LockObtain { .. }
-        | EventKind::LockRelease { .. } => Some(ObjKind::Lock),
-        EventKind::BarrierArrive { .. } | EventKind::BarrierDepart { .. } => Some(ObjKind::Barrier),
-        EventKind::CondWaitBegin { .. }
-        | EventKind::CondWakeup { .. }
-        | EventKind::CondSignal { .. }
-        | EventKind::CondBroadcast { .. } => Some(ObjKind::Condvar),
-        EventKind::Marker { .. } => Some(ObjKind::Marker),
-        EventKind::RwAcquire { .. }
-        | EventKind::RwContended { .. }
-        | EventKind::RwObtain { .. }
-        | EventKind::RwRelease { .. } => Some(ObjKind::RwLock),
-        _ => None,
-    }
-}
-
-/// Salvage one stream: `take` caps how many input events may be
-/// considered (the event budget); `nthreads` bounds valid thread refs.
+/// Salvage one stream in place: `take` caps how many input events may
+/// be considered (the event budget); `nthreads` bounds valid thread
+/// refs. Kept events move down over dropped ones behind a write cursor;
+/// whatever is left past it is cut off. Returns the stream's accounting
+/// and the anomalies explaining it.
 fn salvage_stream(
-    objects: &[ObjInfo],
+    machine: &mut Protocol<'_>,
     nthreads: usize,
     pos: usize,
-    stream: &ThreadStream,
+    stream: &mut ThreadStream,
     take: usize,
-) -> (ThreadStream, StreamStats) {
+) -> (ThreadSalvage, Vec<Anomaly>) {
     let tid = ThreadId(pos as u32);
     let mut anomalies = Vec::new();
     if stream.tid != tid {
@@ -311,40 +324,31 @@ fn salvage_stream(
             recovered: 0,
             detail: format!("stream id {} at position {pos} remapped", stream.tid),
         });
+        stream.tid = tid;
     }
+    let len = stream.events.len();
+    let events = &mut stream.events;
+    machine.reset();
 
-    let mut kept: Vec<Event> = Vec::with_capacity(take);
+    // `kept` is the write cursor; `shift` is 1 once a synthesized
+    // ThreadStart had to be inserted ahead of the first input event.
+    let mut kept = 0usize;
+    let mut shift = 0usize;
     let mut kept_orig = 0u64;
     let mut clamped = 0u64;
     let mut synthesized = 0u64;
-
-    // Per-lock state: 0 idle, 1 acquiring, 2 contended, 3 held — the
-    // same machine `Trace::validate` runs. `*_open` tracks the kept
-    // indexes of the in-flight acquire/contended events so an abandoned
-    // contended wait can be excised at close time.
-    let mut lock_state: BTreeMap<ObjId, u8> = BTreeMap::new();
-    let mut lock_open: BTreeMap<ObjId, Vec<usize>> = BTreeMap::new();
-    let mut rw_state: BTreeMap<ObjId, u8> = BTreeMap::new();
-    let mut rw_open: BTreeMap<ObjId, Vec<usize>> = BTreeMap::new();
-    let mut rw_write: BTreeMap<ObjId, bool> = BTreeMap::new();
-    let mut in_barrier: Option<(ObjId, u32)> = None;
-    let mut in_wait: Option<ObjId> = None;
-
     let mut last_ts = 0u64;
     let mut ended_clean = false;
     let mut synthesized_start = false;
 
-    for (i, ev) in stream.events.iter().take(take).enumerate() {
-        let mut ev = *ev;
+    for i in 0..take {
+        let at = i + shift;
+        let mut ev = events[at];
 
         // Dangling references: drop the single event, keep scanning.
-        if let Some(obj) = ev.kind.obj() {
-            let ok = matches!(objects.get(obj.index()), Some(info)
-                if Some(info.kind) == expected_kind(&ev.kind));
-            if !ok {
-                anomalies.push(Anomaly::DanglingObjectRef { tid, index: i, obj });
-                continue;
-            }
+        if let Some(obj) = dangling_object(machine.objects(), &ev.kind) {
+            anomalies.push(Anomaly::DanglingObjectRef { tid, index: i, obj });
+            continue;
         }
         if let Some(peer) = ev.kind.peer_thread() {
             if peer.index() >= nthreads {
@@ -354,7 +358,8 @@ fn salvage_stream(
         }
 
         // Clock skew: clamp to the running maximum.
-        if ev.ts < last_ts {
+        let in_place = ev.ts >= last_ts;
+        if !in_place {
             ev.ts = last_ts;
             clamped += 1;
         }
@@ -362,12 +367,19 @@ fn salvage_stream(
 
         // Structural protocol: ThreadStart exactly first, ThreadExit
         // only as the true last event over a quiesced thread.
-        if kept.is_empty() && ev.kind != EventKind::ThreadStart {
-            kept.push(Event::new(ev.ts, EventKind::ThreadStart));
+        if kept == 0 && ev.kind != EventKind::ThreadStart {
+            let start = Event::new(ev.ts, EventKind::ThreadStart);
+            if at == 0 {
+                events.insert(0, start);
+                shift = 1;
+            } else {
+                events[0] = start;
+            }
+            kept = 1;
             synthesized += 1;
             synthesized_start = true;
             anomalies.push(Anomaly::SynthesizedStart { tid });
-        } else if !kept.is_empty() && ev.kind == EventKind::ThreadStart {
+        } else if kept > 0 && ev.kind == EventKind::ThreadStart {
             anomalies.push(Anomaly::ProtocolTruncation {
                 tid,
                 index: i,
@@ -376,12 +388,10 @@ fn salvage_stream(
             break;
         }
         if ev.kind == EventKind::ThreadExit {
-            let quiesced = lock_state.values().all(|&s| s == 0)
-                && rw_state.values().all(|&s| s == 0)
-                && in_barrier.is_none()
-                && in_wait.is_none();
-            if i + 1 == stream.events.len() && i + 1 == take && quiesced {
-                kept.push(ev);
+            let quiesced = machine.quiesced();
+            if i + 1 == len && i + 1 == take && quiesced {
+                events[kept] = ev;
+                kept += 1;
                 kept_orig += 1;
                 ended_clean = true;
                 break;
@@ -396,193 +406,37 @@ fn salvage_stream(
         }
 
         // Synchronization protocol: first violation cuts the stream.
-        let violation: Option<String> = match ev.kind {
-            EventKind::LockAcquire { lock } => {
-                let st = lock_state.entry(lock).or_insert(0);
-                if *st != 0 {
-                    Some(format!("acquire of {lock} while in state {st}"))
-                } else {
-                    *st = 1;
-                    lock_open.entry(lock).or_default().push(kept.len());
-                    None
-                }
-            }
-            EventKind::LockContended { lock } => {
-                let st = lock_state.entry(lock).or_insert(0);
-                if *st != 1 {
-                    Some(format!("contended on {lock} without acquire"))
-                } else {
-                    *st = 2;
-                    lock_open.entry(lock).or_default().push(kept.len());
-                    None
-                }
-            }
-            EventKind::LockObtain { lock } => {
-                let st = lock_state.entry(lock).or_insert(0);
-                if *st != 1 && *st != 2 {
-                    Some(format!("obtain of {lock} without acquire"))
-                } else {
-                    *st = 3;
-                    None
-                }
-            }
-            EventKind::LockRelease { lock } => {
-                let st = lock_state.entry(lock).or_insert(0);
-                if *st != 3 {
-                    Some(format!("release of {lock} not held"))
-                } else {
-                    *st = 0;
-                    lock_open.remove(&lock);
-                    None
-                }
-            }
-            EventKind::RwAcquire { lock, write } => {
-                let st = rw_state.entry(lock).or_insert(0);
-                if *st != 0 {
-                    Some(format!("rw-acquire of {lock} while in state {st}"))
-                } else {
-                    *st = 1;
-                    rw_write.insert(lock, write);
-                    rw_open.entry(lock).or_default().push(kept.len());
-                    None
-                }
-            }
-            EventKind::RwContended { lock, .. } => {
-                let st = rw_state.entry(lock).or_insert(0);
-                if *st != 1 {
-                    Some(format!("rw-contended on {lock} without acquire"))
-                } else {
-                    *st = 2;
-                    rw_open.entry(lock).or_default().push(kept.len());
-                    None
-                }
-            }
-            EventKind::RwObtain { lock, .. } => {
-                let st = rw_state.entry(lock).or_insert(0);
-                if *st != 1 && *st != 2 {
-                    Some(format!("rw-obtain of {lock} without acquire"))
-                } else {
-                    *st = 3;
-                    None
-                }
-            }
-            EventKind::RwRelease { lock, .. } => {
-                let st = rw_state.entry(lock).or_insert(0);
-                if *st != 3 {
-                    Some(format!("rw-release of {lock} not held"))
-                } else {
-                    *st = 0;
-                    rw_open.remove(&lock);
-                    None
-                }
-            }
-            EventKind::BarrierArrive { barrier, epoch } => match in_barrier {
-                Some((b, _)) => Some(format!("arrive at {barrier} while inside {b}")),
-                None => {
-                    in_barrier = Some((barrier, epoch));
-                    None
-                }
-            },
-            EventKind::BarrierDepart { barrier, epoch } => match in_barrier {
-                Some((b, e)) if b == barrier && e == epoch => {
-                    in_barrier = None;
-                    None
-                }
-                ref other => Some(format!("depart {barrier}@{epoch} but waiting on {other:?}")),
-            },
-            EventKind::CondWaitBegin { cv } => match in_wait {
-                Some(c) => Some(format!("wait on {cv} while waiting on {c}")),
-                None => {
-                    in_wait = Some(cv);
-                    None
-                }
-            },
-            EventKind::CondWakeup { cv, .. } => match in_wait {
-                Some(c) if c == cv => {
-                    in_wait = None;
-                    None
-                }
-                ref other => Some(format!("wakeup on {cv} but waiting on {other:?}")),
-            },
-            _ => None,
-        };
-        if let Some(reason) = violation {
+        if let Err(reason) = machine.step(ev.kind, kept) {
             anomalies.push(Anomaly::ProtocolTruncation { tid, index: i, reason });
             break;
         }
 
-        kept.push(ev);
+        // Only a moved or clamped event needs writing back.
+        if kept != at || !in_place {
+            events[kept] = ev;
+        }
+        kept += 1;
         kept_orig += 1;
     }
+    events.truncate(kept);
 
     // Close an unfinished stream: excise abandoned contended waits,
     // zero-close in-flight acquires, release held locks, resolve open
     // waits/barriers, then append the missing ThreadExit.
-    if !kept.is_empty() && !ended_clean {
-        let mut excise: Vec<usize> = Vec::new();
-        for (&lock, st) in &lock_state {
-            match st {
-                1 => {
-                    kept.push(Event::new(last_ts, EventKind::LockObtain { lock }));
-                    kept.push(Event::new(last_ts, EventKind::LockRelease { lock }));
-                    synthesized += 2;
-                }
-                2 => excise.extend(lock_open.get(&lock).into_iter().flatten().copied()),
-                3 => {
-                    kept.push(Event::new(last_ts, EventKind::LockRelease { lock }));
-                    synthesized += 1;
-                }
-                _ => {}
-            }
-        }
-        for (&lock, st) in &rw_state {
-            let write = rw_write.get(&lock).copied().unwrap_or(false);
-            match st {
-                1 => {
-                    kept.push(Event::new(last_ts, EventKind::RwObtain { lock, write }));
-                    kept.push(Event::new(last_ts, EventKind::RwRelease { lock, write }));
-                    synthesized += 2;
-                }
-                2 => excise.extend(rw_open.get(&lock).into_iter().flatten().copied()),
-                3 => {
-                    kept.push(Event::new(last_ts, EventKind::RwRelease { lock, write }));
-                    synthesized += 1;
-                }
-                _ => {}
-            }
-        }
-        if let Some(cv) = in_wait {
-            kept.push(Event::new(last_ts, EventKind::CondWakeup { cv, signal_seq: SEQ_UNKNOWN }));
-            synthesized += 1;
-        }
-        if let Some((barrier, epoch)) = in_barrier {
-            kept.push(Event::new(last_ts, EventKind::BarrierDepart { barrier, epoch }));
-            synthesized += 1;
-        }
-        if !excise.is_empty() {
-            excise.sort_unstable();
-            let mut next = 0usize;
-            let mut idx = 0usize;
-            kept.retain(|_| {
-                let drop = next < excise.len() && excise[next] == idx;
-                if drop {
-                    next += 1;
-                }
-                idx += 1;
-                !drop
-            });
-            kept_orig -= excise.len() as u64;
-        }
-        kept.push(Event::new(last_ts, EventKind::ThreadExit));
+    if kept > 0 && !ended_clean {
+        let (closes, excised) = machine.close(events, last_ts);
+        synthesized += closes;
+        kept_orig -= excised;
+        events.push(Event::new(last_ts, EventKind::ThreadExit));
         synthesized += 1;
         anomalies.push(Anomaly::SynthesizedExit { tid });
     }
 
     // Quarantine: a non-empty input stream with no salvageable events,
     // or one reduced to only synthesized scaffolding.
-    let quarantined = !stream.events.is_empty() && kept_orig == 0;
+    let quarantined = len > 0 && kept_orig == 0;
     if quarantined {
-        kept.clear();
+        *events = Vec::new();
         synthesized = 0;
         if synthesized_start {
             anomalies.retain(|a| {
@@ -591,37 +445,20 @@ fn salvage_stream(
         }
         anomalies.push(Anomaly::QuarantinedThread {
             tid,
-            reason: format!("no salvageable events out of {}", stream.events.len()),
+            reason: format!("no salvageable events out of {len}"),
         });
     }
 
-    let dropped = stream.events.len() as u64 - kept_orig;
-    let stats = StreamStats {
-        kept: kept_orig,
-        dropped,
-        clamped,
-        synthesized,
-        quarantined,
-        accounting: ThreadSalvage {
-            tid,
-            kept: kept_orig,
-            dropped,
-            clamped,
-            synthesized,
-            quarantined,
-        },
-        anomalies,
-    };
-    let mut out = ThreadStream::new(tid);
-    out.name = stream.name.clone();
-    out.events = kept;
-    (out, stats)
+    let dropped = len as u64 - kept_orig;
+    let stats = ThreadSalvage { tid, kept: kept_orig, dropped, clamped, synthesized, quarantined };
+    (stats, anomalies)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::TraceBuilder;
+    use crate::ids::ObjId;
 
     fn valid_trace() -> Trace {
         let mut b = TraceBuilder::new("salvage-sample");
@@ -643,6 +480,18 @@ mod tests {
         assert!(s.report.is_clean(), "{:?}", s.report);
         assert_eq!(s.report.confidence, 1.0);
         assert!(!s.report.degraded);
+    }
+
+    /// Salvage of an owned, valid trace moves every stream through:
+    /// each keeps the event buffer it came in with.
+    #[test]
+    fn owned_salvage_of_valid_trace_keeps_event_buffers() {
+        let t = valid_trace();
+        let buffers: Vec<*const Event> = t.threads.iter().map(|s| s.events.as_ptr()).collect();
+        let s = salvage(t, &Budget::unlimited());
+        assert!(s.report.is_clean(), "{:?}", s.report);
+        let after: Vec<*const Event> = s.trace.threads.iter().map(|s| s.events.as_ptr()).collect();
+        assert_eq!(after, buffers);
     }
 
     #[test]

@@ -7,13 +7,19 @@
 //! * the strict path must never silently succeed on mutated bytes — the
 //!   v3 whole-file checksum turns every mutation into a typed error;
 //! * on *unmutated* bytes, salvage must be the identity with a clean
-//!   (empty) salvage report.
+//!   (empty) salvage report;
+//! * `salvage::load` gives the same trace and report at every pool size,
+//!   on damaged bytes and under every kind of budget, and a v1 encoding
+//!   salvages exactly as the v2 and v3 encodings of the same trace do.
 
-use critlock_trace::codec::{read_trace_bytes, read_trace_bytes_salvage};
+use critlock_trace::codec::{read_trace_bytes, read_trace_bytes_salvage, write_trace_with_version};
 use critlock_trace::faults::FLIP_MASK;
-use critlock_trace::salvage::salvage_trace;
+use critlock_trace::salvage::{self, salvage_trace, Salvaged};
 use critlock_trace::{Budget, Trace, TraceBuilder};
 use proptest::prelude::*;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// A protocol-valid trace: 1–3 threads doing work and whole critical
 /// sections on two locks, sized by per-thread op counts.
@@ -75,8 +81,74 @@ fn encode(trace: &Trace) -> Vec<u8> {
     buf
 }
 
+/// One budget of each kind, chosen by `which` and sized by `n`: none,
+/// an event cap, a thread cap, a resident-byte cap, or a deadline that
+/// has already passed.
+fn budget(which: u8, n: u64) -> Budget {
+    match which {
+        0 => Budget::unlimited(),
+        1 => Budget::unlimited().with_max_events(n),
+        2 => Budget::unlimited().with_max_threads((n % 4) as usize),
+        3 => Budget::unlimited().with_max_bytes(n * 24),
+        _ => Budget {
+            deadline: Instant::now().checked_sub(Duration::from_millis(1)),
+            ..Default::default()
+        },
+    }
+}
+
+/// `salvage::load` of `bytes` (through a file, as `critlock analyze`
+/// reads it) inside a rayon pool of `threads`.
+fn load_in_pool(bytes: &[u8], budget: &Budget, threads: usize) -> Option<Salvaged> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let path: PathBuf = std::env::temp_dir().join(format!(
+        "critlock-salvage-props-{}-{}.cltr",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, bytes).expect("temp file is writable");
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+    let loaded = pool.install(|| salvage::load(&path, budget)).ok();
+    let _ = std::fs::remove_file(&path);
+    loaded
+}
+
+fn encode_version(trace: &Trace, version: u64) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_trace_with_version(trace, version, &mut buf).expect("encoding cannot fail");
+    buf
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn salvage_load_is_pool_and_version_independent(
+        trace in valid_trace_strategy(),
+        kind in 0u8..3,
+        pos in 0usize..1_000_000,
+        drop in 1usize..64,
+        which in 0u8..5,
+        n in 0u64..48,
+    ) {
+        let budget = budget(which, n);
+        let clean: Vec<Vec<u8>> = (1..=3).map(|v| encode_version(&trace, v)).collect();
+        for bytes in clean.iter().map(|b| mutate(b, kind, pos, drop)).chain(clean.iter().cloned()) {
+            let one = load_in_pool(&bytes, &budget, 1);
+            for threads in [2, 4] {
+                let many = load_in_pool(&bytes, &budget, threads);
+                prop_assert!(
+                    one == many,
+                    "pool {threads} differs from pool 1 (budget {which}/{n}, kind {kind}, pos {pos})"
+                );
+            }
+        }
+        let v1 = load_in_pool(&clean[0], &budget, 2).expect("clean v1 loads");
+        for (i, bytes) in clean.iter().enumerate().skip(1) {
+            let other = load_in_pool(bytes, &budget, 2).expect("clean bytes load");
+            prop_assert!(v1 == other, "v1 and v{} salvage differently (budget {which}/{n})", i + 1);
+        }
+    }
 
     #[test]
     fn salvage_never_panics_and_strict_never_lies(
